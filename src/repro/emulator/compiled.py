@@ -23,6 +23,12 @@ instructions. A segment carries
   (:meth:`repro.emulator.interpreter.Interpreter.
   _reconcile_segment_fault`).
 
+Segments end at control transfers, so block tracing
+(``InterpreterConfig.trace``) is bound here too: when a trace callback is
+configured, every segment that ends in a jump, branch, call or return
+reports the block it entered, exactly as the per-step handlers do.
+Untraced interpreters compile the same segments without the wrapper.
+
 Bit-identity ground rules the generated code obeys:
 
 - Register values are always stored wrapped to the destination
@@ -537,8 +543,9 @@ def _make_call(inst: Call, interp, next_index: int, frame_cls):
 
 
 def _make_ret(inst: Ret, interp):
-    """Return micro-op. Reads ``interp.frames`` at call time — the
-    interpreter rebinds the frames list on run()/restore_snapshot()."""
+    """Return micro-op for a void, constant or register return value.
+    Reads ``interp.frames`` at call time — the interpreter rebinds the
+    frames list on run()/restore_snapshot()."""
     if inst.value is None:
 
         def _op(frame):
@@ -556,8 +563,6 @@ def _make_ret(inst: Ret, interp):
                 frames[-1].registers[ret_target] = const
 
         return _op
-    if not isinstance(inst.value, Register):
-        return _ref_op(interp._do_ret, inst)
     name = inst.value.name
 
     def _op(frame):
@@ -577,6 +582,27 @@ def _make_ret(inst: Ret, interp):
     return _op
 
 
+def _traced(run, interp, trace, n_ops):
+    """Wrap a control-transfer segment's runner to report the block it
+    entered: the top frame after a jump, branch or call, the caller after
+    a return, nothing when the last frame returned — what the per-step
+    handlers report. An exception from ``trace`` is tagged as raised past
+    the last op, so the interpreter reconciles the whole segment."""
+
+    def _run(frame):
+        run(frame)
+        frames = interp.frames
+        if frames:
+            top = frames[-1]
+            try:
+                trace(top.function.name, top.block)
+            except BaseException as exc:
+                exc._seg_pos = n_ops
+                raise
+
+    return _run
+
+
 # -- block compilation -------------------------------------------------------
 
 
@@ -591,7 +617,9 @@ def _build_segment(start, insts, interp, frame_cls) -> Segment:
     for inst, cost, handler in insts:
         if type(inst) is Call:
             units.append(("call", inst))
-        elif type(inst) is Ret:
+        elif type(inst) is Ret and (
+            inst.value is None or isinstance(inst.value, (Const, Register))
+        ):
             units.append(("ret", inst))
         elif _can_gen(inst):
             units.append(("gen", inst))
@@ -650,7 +678,13 @@ def _build_segment(start, insts, interp, frame_cls) -> Segment:
     ends_with_control = type(last) in (Jump, Branch, Call, Ret)
     end_index = None if ends_with_control else start + len(insts)
     costs = tuple(cost for _, cost, _ in insts)
-    return Segment(start, end_index, ops, widths, costs)
+    seg = Segment(start, end_index, ops, widths, costs)
+    trace = interp.config.trace
+    # A "ref" op runs the interpreter's own handler, which reports the
+    # block entry itself (_goto, _do_ret).
+    if trace is not None and ends_with_control and units[-1][0] != "ref":
+        seg.run = _traced(seg.run, interp, trace, len(ops))
+    return seg
 
 
 def compile_blocks(interp, frame_cls):

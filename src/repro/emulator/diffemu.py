@@ -270,7 +270,6 @@ def record_tape(
     inputs: Optional[Dict[str, List[int]]] = None,
     max_instructions: int = 200_000_000,
     max_snapshots: int = DEFAULT_MAX_SNAPSHOTS,
-    predecode: bool = True,
     compiled: bool = True,
 ) -> SnapshotTape:
     """Run the column failure-free and capture its snapshot tape.
@@ -312,7 +311,6 @@ def record_tape(
         inputs=dict(inputs or {}),
         max_instructions=max_instructions,
         vm_size=vm_size,
-        predecode=predecode,
         compiled=compiled,
         commit_hook=hook,
     )
@@ -518,7 +516,6 @@ def fork_cell(
     vm_size: int = 1 << 30,
     inputs: Optional[Dict[str, List[int]]] = None,
     max_instructions: int = 200_000_000,
-    predecode: bool = True,
     compiled: bool = True,
     step_hook: Optional[Callable[[str, int], None]] = None,
 ) -> ExecutionReport:
@@ -532,7 +529,6 @@ def fork_cell(
         inputs=dict(inputs or {}),
         max_instructions=max_instructions,
         vm_size=vm_size,
-        predecode=predecode,
         compiled=compiled,
         step_hook=step_hook,
     )
@@ -629,7 +625,6 @@ def run_cell(
     vm_size: int = 1 << 30,
     inputs: Optional[Dict[str, List[int]]] = None,
     max_instructions: int = 200_000_000,
-    predecode: bool = True,
     compiled: bool = True,
     stats: Optional[DiffEmuStats] = None,
 ) -> Tuple[ExecutionReport, ForkPlan]:
@@ -647,8 +642,7 @@ def run_cell(
             stats.cold += 1
         return _run_cold(
             module, model, policy, spec, vm_size=vm_size, inputs=inputs,
-            max_instructions=max_instructions, predecode=predecode,
-                compiled=compiled,
+            max_instructions=max_instructions, compiled=compiled,
         ), plan
     plan = plan_cell(tape, spec)
     if plan.kind == "synthesize":
@@ -660,8 +654,7 @@ def run_cell(
             report = fork_cell(
                 module, model, policy, spec, tape, plan.entry_index,
                 vm_size=vm_size, inputs=inputs,
-                max_instructions=max_instructions, predecode=predecode,
-                compiled=compiled,
+                max_instructions=max_instructions, compiled=compiled,
             )
         except EmulationError as exc:
             # A tape recorded for a different module revision (or
@@ -676,8 +669,7 @@ def run_cell(
                 stats.cold += 1
             return _run_cold(
                 module, model, policy, spec, vm_size=vm_size, inputs=inputs,
-                max_instructions=max_instructions, predecode=predecode,
-                compiled=compiled,
+                max_instructions=max_instructions, compiled=compiled,
             ), plan
         if stats is not None:
             stats.forked += 1
@@ -686,8 +678,7 @@ def run_cell(
         stats.cold += 1
     return _run_cold(
         module, model, policy, spec, vm_size=vm_size, inputs=inputs,
-        max_instructions=max_instructions, predecode=predecode,
-                compiled=compiled,
+        max_instructions=max_instructions, compiled=compiled,
     ), plan
 
 
@@ -700,7 +691,6 @@ def _run_cold(
     vm_size: int,
     inputs: Optional[Dict[str, List[int]]],
     max_instructions: int,
-    predecode: bool,
     compiled: bool,
 ) -> ExecutionReport:
     from repro.emulator.interpreter import run_intermittent
@@ -708,6 +698,5 @@ def _run_cold(
     return run_intermittent(
         module, model, policy, spec.build(),
         vm_size=vm_size, inputs=inputs,
-        max_instructions=max_instructions, predecode=predecode,
-                compiled=compiled,
+        max_instructions=max_instructions, compiled=compiled,
     )

@@ -101,35 +101,36 @@ class InterpreterConfig:
     #: accesses left.
     default_space: MemorySpace = MemorySpace.NVM
     max_instructions: int = 200_000_000
-    #: Called as trace(function_name, block_label) on every block entry.
+    #: Called as trace(function_name, block_label) on every block entry,
+    #: in execution order and exactly once per entry. The compiled loop
+    #: reports it: segments end at control transfers, and the callback
+    #: is bound when the segments are compiled, so untraced runs pay
+    #: nothing for it.
     trace: Optional[Callable[[str, str], None]] = None
     #: Called as step_hook(site_label, cycles) immediately before each
     #: atomic energy-consuming step — instructions, checkpoint saves,
     #: restores and voltage checks. Together with a recording
     #: :class:`~repro.emulator.power.PowerManager` this enumerates every
     #: fault-injectable boundary of a run (the testkit's sweep engine).
+    #: The only observer that needs every step announced, so the only
+    #: one that selects the per-step pre-decoded loop.
     step_hook: Optional[Callable[[str, int], None]] = None
     #: Inputs written into the NVM image before execution: name -> values.
     inputs: Dict[str, List[int]] = field(default_factory=dict)
     #: Enforce the VM capacity limit at run time.
     vm_size: int = 1 << 30
-    #: Pre-decode every basic block into (handler, cost, inst, label)
-    #: entries at construction, removing per-step type dispatch and cost
-    #: lookups from the hot loop. Semantics are bit-identical either way;
-    #: False selects the original per-step loop (kept as the differential
-    #: reference implementation and for micro-benchmarks).
-    predecode: bool = True
     #: Compile straight-line runs of each pre-decoded block into fused
     #: superinstruction closures executed with zero dispatch, charging
     #: each run's energy/cycles as one batch (:mod:`repro.emulator.
     #: compiled`). Semantics are bit-identical: failure points, meter
-    #: totals, reports and diffemu snapshots all match the per-step
-    #: loops, and the interpreter falls back to per-step execution for
-    #: any run that asks for per-step observation (``step_hook``,
-    #: ``trace``, a recording power manager, enabled telemetry) and on
-    #: every cold-path event (checkpoints, predicted in-segment power
-    #: failures, instruction-budget edges, mid-segment resume points).
-    #: Requires ``predecode``; False selects the plain pre-decoded loop.
+    #: totals, reports, block traces, telemetry events and diffemu
+    #: snapshots all match the per-step loop. Every cold-path event
+    #: (checkpoints, predicted in-segment power failures, a recording
+    #: power manager, instruction-budget edges, mid-segment resume
+    #: points) runs one instruction at a time inside the compiled loop.
+    #: False selects the per-step pre-decoded loop, the reference the
+    #: compiled loop is differentially tested against (as does a
+    #: ``step_hook``).
     compiled: bool = True
     #: Called as commit_hook(interpreter, ckpt_id) after a checkpoint has
     #: fully committed — the save persisted *and* the wait-mode
@@ -241,26 +242,13 @@ class Interpreter:
         self._seg_anchor = 0.0
         # The metrics registry and flight recorder follow the same
         # discipline: bound once, consulted only on cold paths, None
-        # when disabled. Unlike tracing (_tm), metrics alone do NOT
-        # disqualify the compiled loop — counters are only bumped at
-        # segment boundaries the compiled loop also crosses.
+        # when disabled.
         self._mm = metrics.get()
         self._fr = flight.get()
         if self._mm is not None:
             self._mm.counter("interp.runs").add(1)
         if self._fr is not None:
             self._fr.provide("interpreter", self._flight_state)
-        # Cost cache of the undecoded loop, keyed by id(inst) for O(1)
-        # probes but storing (inst, cost) pairs: the held reference pins
-        # each instruction object alive, so an id can never be recycled
-        # by a newer instruction while its entry exists — the lifetime
-        # hazard of the bare id()-keyed cache this replaces (a module
-        # rewritten mid-run could free an instruction and serve a stale
-        # cost for its reused id). tests/test_interpreter_decode.py pins
-        # the pinning down with a freed-id regression test.
-        self._costs: Dict[
-            int, Tuple[Instruction, Tuple[int, float, float, bool, bool]]
-        ] = {}
         if self.config.restore_fidelity not in ("image", "metadata"):
             raise EmulationError(
                 f"unknown restore_fidelity "
@@ -276,8 +264,8 @@ class Interpreter:
         self._has_env = any(
             var.volatile_input for var in module.all_variables()
         )
-        #: type-keyed dispatch table — measurably faster than an
-        #: isinstance chain in the hot loop.
+        #: type-keyed handler table, consulted once per instruction at
+        #: decode time.
         self._dispatch = {
             BinOp: self._apply_binop,
             Load: self._apply_load,
@@ -289,19 +277,14 @@ class Interpreter:
             Call: self._do_call,
             Ret: self._do_ret,
         }
-        if self._has_env:
-            # The undecoded loop (and _apply) must re-check per Load;
-            # modules without environment inputs keep the direct handler
-            # and pay nothing.
-            self._dispatch[Load] = self._apply_load_auto
-        self._code = self._decode_module() if self.config.predecode else None
+        self._code = self._decode_module()
         #: Compiled segment maps, built lazily on the first execution
-        #: that is eligible for the compiled loop (frames must exist and
-        #: most runs never need it when observation hooks force the
-        #: per-step loops). {(function, label): {index: Segment}}.
+        #: that selects the compiled loop (frames must exist, and
+        #: step_hook runs never need them). {(function, label):
+        #: {index: Segment}}.
         self._ccode = None
-        #: Which loop the last _execute used: "compiled", "predecoded"
-        #: or "undecoded" (introspection for tests and benchmarks).
+        #: Which loop the last _execute used: "compiled" or "predecoded"
+        #: (introspection for tests and benchmarks).
         self.loop_used: Optional[str] = None
 
     # -- pre-decoding ----------------------------------------------------------
@@ -311,11 +294,11 @@ class Interpreter:
         label)`` entries, keyed by ``(function name, block label)``.
 
         The hot loop then runs on plain list indexing instead of per-step
-        ``type(inst)`` dispatch-dict probes and ``id(inst)`` cost-cache
-        lookups. Decoding binds to the instruction objects present at
-        construction: the module must not be structurally modified while
-        this interpreter is alive (compilation finishes before emulation
-        starts everywhere in this codebase).
+        ``type(inst)`` dispatch and cost computation. Decoding binds to
+        the instruction objects present at construction: the module must
+        not be structurally modified while this interpreter is alive
+        (compilation finishes before emulation starts everywhere in this
+        codebase).
         """
         code: Dict[Tuple[str, str], list] = {}
         for func in self.module.functions.values():
@@ -333,29 +316,14 @@ class Interpreter:
         return code
 
     def _handler_for(self, inst: Instruction):
-        """Decode-time handler selection: environment-input Loads bind
-        directly to the sampling handler, so the pre-decoded hot loop
-        never re-tests ``volatile_input`` per step."""
+        """Decode-time handler selection (None for checkpoints):
+        environment-input Loads bind directly to the sampling handler, so
+        the hot loop never re-tests ``volatile_input`` per step."""
         if type(inst) is Load and inst.var.volatile_input:
             return self._apply_load_env
-        handler = self._dispatch.get(type(inst))
-        if handler is self._apply_load_auto:
-            return self._apply_load
-        return handler
+        return self._dispatch.get(type(inst))
 
-    # -- cost cache ------------------------------------------------------------
-
-    def _cost(self, inst: Instruction) -> Tuple[int, float, float, bool, bool]:
-        """Undecoded-loop accessor: _compute_cost memoized by id(inst),
-        with the instruction object held in the entry so the id stays
-        pinned (see the lifetime note on ``_costs``)."""
-        key = id(inst)
-        cached = self._costs.get(key)
-        if cached is not None:
-            return cached[1]
-        result = self._compute_cost(inst)
-        self._costs[key] = (inst, result)
-        return result
+    # -- costs ---------------------------------------------------------------
 
     def _compute_cost(
         self, inst: Instruction
@@ -499,25 +467,13 @@ class Interpreter:
         )
 
     def _execute(self) -> Tuple[bool, str]:
-        if self._code is None:
-            self.loop_used = "undecoded"
-            return self._run_selected_loop(self._execute_undecoded)
-        config = self.config
-        if (
-            config.compiled
-            and config.step_hook is None
-            and config.trace is None
-            and self.power.record is None
-            and self._tm is None
-        ):
-            # No per-step observation requested: run the threaded-code
-            # loop. Anything that needs step granularity — the testkit
-            # sweep's step_hook, block tracing, a recording power
-            # manager or enabled telemetry — gets the per-step
-            # pre-decoded loop and bit-identical streams. A metrics
-            # registry alone (self._mm) does NOT disqualify: counters
-            # are bumped only at segment boundaries the compiled loop
-            # crosses too, so loop choice stays metrics-invariant.
+        if self.config.compiled and self.config.step_hook is None:
+            # Every observer but a step_hook runs here: block traces are
+            # bound into the compiled segments, telemetry fires only on
+            # cold paths the compiled loop takes one step at a time, and
+            # a recording power manager makes peek_block refuse every
+            # segment. A step_hook announces every step, so it needs the
+            # per-step loop.
             if self._ccode is None:
                 self._ccode = compiled_blocks.compile_blocks(self, _Frame)
             self.loop_used = "compiled"
@@ -619,9 +575,10 @@ class Interpreter:
                         frame.index = end
                     continue
             # Per-step path: checkpoints, a failure predicted inside the
-            # segment, the instruction-budget edge, or a resume index
-            # that is not a segment start. One instruction, executed
-            # exactly as _execute_predecoded would.
+            # segment, a recording power manager, the instruction-budget
+            # edge, or a resume index that is not a segment start. One
+            # instruction, executed exactly as _execute_predecoded would
+            # (its handler reports any block entry to the trace).
             if self.instructions_executed >= max_instructions:
                 return False, "instruction budget exhausted (runaway program?)"
             handler, cost, inst, label = block_code[frame.index]
@@ -650,7 +607,10 @@ class Interpreter:
         before the handler runs), and point ``frame.index`` at the
         faulting instruction — exactly the state the pre-decoded loop
         leaves behind when a handler raises. peek_block admitted the
-        whole segment, so no consume in this prefix can fail."""
+        whole segment, so no consume in this prefix can fail. A trace
+        callback raising after the segment's last op charges the whole
+        segment and keeps the control transfer's frame position, as a
+        handler whose trace raises does."""
         pos = getattr(exc, "_seg_pos", 0)
         sub = getattr(exc, "_seg_sub", 0)
         fault = sum(seg.widths[:pos]) + sub
@@ -663,7 +623,8 @@ class Interpreter:
             self.active_cycles += cycles
             self.instructions_executed += 1
             charge(energy, access_energy, is_vm, has_access)
-        frame.index = seg.start + fault
+        if fault < seg.n:
+            frame.index = seg.start + fault
 
     def _execute_predecoded(self) -> Tuple[bool, str]:
         frames = self.frames
@@ -712,58 +673,7 @@ class Interpreter:
             handler(frame, inst)
         return True, ""
 
-    def _execute_undecoded(self) -> Tuple[bool, str]:
-        """The original per-step loop: type-dispatch and cost lookups on
-        every instruction. Kept as the reference implementation the
-        pre-decoded loop is differentially tested (and benchmarked)
-        against; selected with ``config.predecode=False``."""
-        frames = self.frames
-        costs = self._costs
-        dispatch = self._dispatch
-        consume = self.power.consume
-        charge = self.meter.charge_compute
-        max_instructions = self.config.max_instructions
-        compute_cost = self._cost
-        step_hook = self.config.step_hook
-
-        while frames:
-            if self.instructions_executed >= max_instructions:
-                return False, "instruction budget exhausted (runaway program?)"
-            frame = frames[-1]
-            inst = frame.function.blocks[frame.block].instructions[frame.index]
-
-            handler = dispatch.get(type(inst))
-            if handler is None:  # checkpoint pseudo-instructions
-                outcome = self._do_checkpoint(frame, inst)
-                if outcome is not None:
-                    return outcome
-                continue
-
-            entry = costs.get(id(inst))
-            cost = entry[1] if entry is not None else compute_cost(inst)
-            cycles, energy, access_energy, is_vm, has_access = cost
-            if step_hook is not None:
-                step_hook(
-                    f"{frame.function.name}:{frame.block}:{frame.index}",
-                    cycles,
-                )
-            if consume(energy, cycles):
-                if not self._handle_power_failure():
-                    return False, "no forward progress"
-                continue
-            self.active_cycles += cycles
-            self.instructions_executed += 1
-            charge(energy, access_energy, is_vm, has_access)
-            handler(frame, inst)
-        return True, ""
-
     # -- instruction effects -----------------------------------------------------
-
-    def _apply(self, frame: _Frame, inst: Instruction) -> None:
-        handler = self._dispatch.get(type(inst))
-        if handler is None:
-            raise EmulationError(f"cannot interpret {type(inst).__name__}")
-        handler(frame, inst)
 
     def _apply_binop(self, frame: _Frame, inst: BinOp) -> None:
         frame.registers[inst.dest.name] = self._binop(frame, inst)
@@ -790,14 +700,6 @@ class Interpreter:
         self._env_counts[name] = count + 1
         frame.registers[inst.dest.name] = inst.dest.type.wrap(raw + count)
         frame.index += 1
-
-    def _apply_load_auto(self, frame: _Frame, inst: Load) -> None:
-        """Undecoded-loop Load dispatch for modules with environment
-        inputs (the pre-decoded path binds the right handler up front)."""
-        if inst.var.volatile_input:
-            self._apply_load_env(frame, inst)
-        else:
-            self._apply_load(frame, inst)
 
     def _apply_store(self, frame: _Frame, inst: Store) -> None:
         name = frame.ref_bindings.get(inst.var.name, inst.var.name)
@@ -1334,7 +1236,6 @@ def run_continuous(
     inputs: Optional[Dict[str, List[int]]] = None,
     trace: Optional[Callable[[str, str], None]] = None,
     max_instructions: int = 200_000_000,
-    predecode: bool = True,
     compiled: bool = True,
 ) -> ExecutionReport:
     """Run a module under continuous power (reference/profiling runs).
@@ -1347,7 +1248,6 @@ def run_continuous(
         inputs=dict(inputs or {}),
         trace=trace,
         max_instructions=max_instructions,
-        predecode=predecode,
         compiled=compiled,
     )
     interp = Interpreter(
@@ -1369,7 +1269,6 @@ def run_intermittent(
     inputs: Optional[Dict[str, List[int]]] = None,
     max_instructions: int = 200_000_000,
     step_hook: Optional[Callable[[str, int], None]] = None,
-    predecode: bool = True,
     compiled: bool = True,
     restore_fidelity: str = "image",
 ) -> ExecutionReport:
@@ -1379,7 +1278,6 @@ def run_intermittent(
         max_instructions=max_instructions,
         vm_size=vm_size,
         step_hook=step_hook,
-        predecode=predecode,
         compiled=compiled,
         restore_fidelity=restore_fidelity,
     )

@@ -39,7 +39,7 @@ from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from . import metrics as metrics_mod
-from .metrics import (  # noqa: F401 - re-exported for compatibility
+from .metrics import (  # the registry's metric classes, re-exported
     Counter,
     Gauge,
     Histogram,
@@ -57,83 +57,6 @@ SCHEMA_VERSION = 2
 TRACK_COMPILER = "compiler"
 TRACK_RUNTIME = "runtime"
 TRACK_STATIC = "static"
-
-
-class Counter:
-    """A monotonically increasing named count."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0
-
-    def add(self, n: int = 1) -> None:
-        self.value += n
-
-    def to_json(self) -> Dict[str, Any]:
-        return {"kind": "counter", "name": self.name, "value": self.value}
-
-
-class Gauge:
-    """A last-value-wins named measurement."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value: float = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def to_json(self) -> Dict[str, Any]:
-        return {"kind": "gauge", "name": self.name, "value": self.value}
-
-
-class Histogram:
-    """Min/max/sum/count plus power-of-two buckets of observed values."""
-
-    __slots__ = ("name", "count", "total", "vmin", "vmax", "buckets")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.count = 0
-        self.total = 0.0
-        self.vmin: Optional[float] = None
-        self.vmax: Optional[float] = None
-        #: bucket index b counts values in (2**(b-1), 2**b]; b=0 holds
-        #: everything <= 1.
-        self.buckets: Dict[int, int] = {}
-
-    def record(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        if self.vmin is None or value < self.vmin:
-            self.vmin = value
-        if self.vmax is None or value > self.vmax:
-            self.vmax = value
-        bucket = 0
-        v = value
-        while v > 1.0:
-            v /= 2.0
-            bucket += 1
-        self.buckets[bucket] = self.buckets.get(bucket, 0) + 1
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "kind": "histogram",
-            "name": self.name,
-            "count": self.count,
-            "total": self.total,
-            "min": self.vmin,
-            "max": self.vmax,
-            "buckets": {str(k): v for k, v in sorted(self.buckets.items())},
-        }
 
 
 class _Span:

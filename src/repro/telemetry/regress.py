@@ -52,7 +52,6 @@ TIMING_PATHS: Tuple[str, ...] = (
     "diff_emulation.diff_grid_seconds",
     "interpreter_loops.compiled_seconds",
     "interpreter_loops.predecoded_seconds",
-    "interpreter_loops.undecoded_seconds",
 )
 
 

@@ -1,17 +1,17 @@
-"""The pre-decoded interpreter loop must be bit-identical to the legacy
-undecoded loop, and the id()-keyed cost cache must stay interpreter-local.
+"""The compiled interpreter loop must be bit-identical to the per-step
+pre-decoded loop, and decoding must cover every block.
 
 ``Interpreter._decode_module`` turns every basic block into
-``(handler, cost, inst, label)`` tuples once at construction; the legacy
-loop (``config.predecode=False``) is kept as the differential reference.
-These tests pin down:
+``(handler, cost, inst, label)`` tuples once at construction; the
+per-step loop over those entries (``config.compiled=False``, or any run
+with a ``step_hook``) is the differential reference. These tests pin
+down:
 
 - identical :class:`ExecutionReport`s (outputs, energy, cycles, failure
-  accounting) on both paths, continuous and intermittent;
-- identical ``step_hook`` streams (labels *and* per-step cycle costs),
-  which the testkit's boundary recording depends on;
-- the ``_costs`` lifetime contract: the id()-keyed cache is only safe
-  because it lives and dies with one interpreter holding one module.
+  accounting) on both loops, continuous and intermittent;
+- a ``step_hook`` stream whose per-step cycle costs account for exactly
+  the compiled run's timeline, which the testkit's boundary recording
+  depends on.
 """
 
 import dataclasses
@@ -23,7 +23,6 @@ from repro.emulator.interpreter import (
     Interpreter,
     InterpreterConfig,
     run_continuous,
-    run_intermittent,
 )
 from repro.emulator.runtime import CheckpointPolicy
 from repro.energy import msp430fr5969_platform
@@ -48,9 +47,9 @@ def _report_dict(report):
 def test_continuous_paths_identical(program):
     bench = load_program(program)
     fast = run_continuous(bench.module, PLAT.model,
-                          inputs=bench.default_inputs(), predecode=True)
+                          inputs=bench.default_inputs(), compiled=True)
     slow = run_continuous(bench.module, PLAT.model,
-                          inputs=bench.default_inputs(), predecode=False)
+                          inputs=bench.default_inputs(), compiled=False)
     assert _report_dict(fast) == _report_dict(slow)
 
 
@@ -63,32 +62,38 @@ def test_intermittent_paths_identical_with_hooks(program, technique):
     )
     assert compiled.feasible
 
-    def run(predecode):
-        hooks = []
-        report = run_intermittent(
-            compiled.module, PLAT.model, compiled.policy,
-            PowerManager.energy_budget(3000.0),
-            vm_size=PLAT.vm_size, inputs=bench.default_inputs(),
-            step_hook=lambda label, cycles: hooks.append((label, cycles)),
-            predecode=predecode,
+    def run(step_hook=None):
+        power = PowerManager.energy_budget(3000.0)
+        interp = Interpreter(
+            compiled.module, PLAT.model, compiled.policy, power,
+            InterpreterConfig(
+                inputs=bench.default_inputs(), vm_size=PLAT.vm_size,
+                step_hook=step_hook,
+            ),
         )
-        return report, hooks
+        return interp.run(), interp.loop_used, power.timeline
 
-    fast_report, fast_hooks = run(True)
-    slow_report, slow_hooks = run(False)
+    hooks = []
+    slow_report, slow_loop, slow_timeline = run(
+        lambda label, cycles: hooks.append((label, cycles))
+    )
+    fast_report, fast_loop, fast_timeline = run()
+    assert (fast_loop, slow_loop) == ("compiled", "predecoded")
     assert _report_dict(fast_report) == _report_dict(slow_report)
-    assert fast_hooks == slow_hooks, (
-        "step_hook streams diverged — boundary sweeps would record "
-        "different injection sites per path"
+    assert sum(cycles for _, cycles in hooks) == fast_timeline == (
+        slow_timeline
+    ), (
+        "the step_hook stream must announce every step of the compiled "
+        "run — boundary sweeps would otherwise miss injection sites"
     )
 
 
-def _interp(module, predecode):
+def _interp(module):
     return Interpreter(
         module, PLAT.model,
         CheckpointPolicy.rollback_mode("continuous"),
         PowerManager.continuous(),
-        InterpreterConfig(predecode=predecode),
+        InterpreterConfig(),
     )
 
 
@@ -98,7 +103,7 @@ def test_decode_covers_every_block_and_flags_checkpoints():
         "schematic", bench.module, PLAT,
         input_generator=bench.input_generator(),
     )
-    interp = _interp(compiled.module, predecode=True)
+    interp = _interp(compiled.module)
     expected = {
         (f.name, label)
         for f in compiled.module.functions.values()
@@ -115,78 +120,3 @@ def test_decode_covers_every_block_and_flags_checkpoints():
             # _do_checkpoint); everything else must have a dispatcher.
             is_ckpt = isinstance(inst, (Checkpoint, CondCheckpoint))
             assert (handler is None) == is_ckpt
-
-
-def test_cost_cache_is_interpreter_local():
-    """The lifetime contract on Interpreter._costs: id()-keyed costs are
-    only valid while *this* interpreter keeps the module alive. The cache
-    must be per-instance (never shared, never survive the interpreter)
-    and the pre-decoded path must not populate it at all — it binds costs
-    at construction instead."""
-    bench = load_program("sumloop")
-    a = _interp(bench.module, predecode=False)
-    b = _interp(bench.module, predecode=False)
-    assert a._costs is not b._costs
-    assert a._costs == {} and b._costs == {}
-
-    a.run()
-    assert a._costs, "undecoded run must populate the memo"
-    assert b._costs == {}, "a sibling interpreter must be untouched"
-
-    fast = _interp(bench.module, predecode=True)
-    fast.run()
-    assert fast._costs == {}, (
-        "pre-decoded path must never consult the id()-keyed cache"
-    )
-
-
-def test_cost_cache_entries_pin_their_instruction():
-    """Regression for the id()-reuse hazard: the cache is keyed by
-    ``id(inst)``, and it used to store the bare cost tuple. An
-    instruction freed while its entry lived could then hand its recycled
-    id to a *different* instruction, which would be served the stale
-    cost. Entries now store ``(inst, cost)`` — the held reference keeps
-    the keyed object alive, so no live entry's key can ever be recycled.
-    """
-    import gc
-
-    bench = load_program("sumloop")
-    interp = _interp(bench.module, predecode=False)
-    func = bench.module.entry_function
-    proto = next(
-        inst
-        for block in func.blocks.values()
-        for inst in block.instructions
-        if not isinstance(inst, (Checkpoint, CondCheckpoint))
-    )
-
-    def cache_temporary():
-        # A fresh instruction object cached and immediately dropped —
-        # exactly the lifetime the old cache mishandled.
-        temp = dataclasses.replace(proto)
-        interp._cost(temp)
-        return id(temp)
-
-    key = cache_temporary()
-    gc.collect()
-
-    entry = interp._costs[key]
-    pinned_inst = entry[0]
-    assert id(pinned_inst) == key, (
-        "the cache entry must hold the instruction it is keyed by"
-    )
-    # Because the entry pins the object, no newly-allocated instruction
-    # can ever collide with a live key: CPython ids are addresses, and
-    # the pinned object still occupies this one.
-    for _ in range(256):
-        assert id(dataclasses.replace(proto)) != key
-
-    # Dropping the entry releases the pin — the id may then be recycled,
-    # which is fine precisely because the entry is gone.
-    del interp._costs[key], entry, pinned_inst
-    gc.collect()
-    assert key not in interp._costs
-
-
-def test_predecode_flag_defaults_on():
-    assert InterpreterConfig().predecode is True

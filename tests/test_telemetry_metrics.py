@@ -35,6 +35,13 @@ def _no_leak():
 # -- instruments --------------------------------------------------------------
 
 
+def test_public_metric_classes_are_the_registry_classes():
+    reg = MetricsRegistry()
+    assert telemetry.Counter is type(reg.counter("x"))
+    assert telemetry.Gauge is type(reg.gauge("g"))
+    assert telemetry.Histogram is type(reg.histogram("h"))
+
+
 def test_counter_accumulates_and_snapshots():
     reg = MetricsRegistry()
     reg.counter("a.b").add(3)

@@ -12,9 +12,9 @@ Produces ``BENCH_pr8.json`` with wall-clock timings for
   tape per column plus synthesized/forked cells
   (:mod:`repro.emulator.diffemu`),
 - the interpreter **loop micro-benchmark**: the aes continuous reference
-  under the compiled (threaded-code/superinstruction) loop vs the plain
-  pre-decoded loop vs the legacy undecoded loop, asserting the three
-  reports are byte-identical,
+  under the compiled (threaded-code/superinstruction) loop vs the
+  per-step pre-decoded reference loop, asserting the two reports are
+  byte-identical,
 
 asserting along the way that all evaluation paths produce byte-identical
 output. Run from the repository root::
@@ -186,7 +186,7 @@ def _bench_diffemu(benchmarks):
 
 
 def _bench_interpreter(benchmark: str, repeats: int = 3):
-    """Time the three interpreter loops on one continuous reference run
+    """Time the two interpreter loops on one continuous reference run
     and assert their reports are byte-identical (the compiled loop's
     contract)."""
     import dataclasses
@@ -194,29 +194,25 @@ def _bench_interpreter(benchmark: str, repeats: int = 3):
     bench = get_benchmark(benchmark)
     model = msp430fr5969_platform().model
     inputs = bench.default_inputs()
-    loops = (
-        ("compiled", {"predecode": True, "compiled": True}),
-        ("predecoded", {"predecode": True, "compiled": False}),
-        ("undecoded", {"predecode": False, "compiled": False}),
-    )
+    loops = (("compiled", True), ("predecoded", False))
     timings = {}
     reports = {}
-    for label, kwargs in loops:
+    for label, compiled in loops:
         best = float("inf")
         for _ in range(repeats):
             start = time.perf_counter()
             if _injected_slowdown():
                 time.sleep(_injected_slowdown())
             report = run_continuous(
-                bench.module, model, inputs=inputs, **kwargs
+                bench.module, model, inputs=inputs, compiled=compiled
             )
             best = min(best, time.perf_counter() - start)
             assert report.completed
         timings[label] = best
         reports[label] = dataclasses.asdict(report)
-    assert reports["compiled"] == reports["predecoded"] == (
-        reports["undecoded"]
-    ), f"interpreter loops diverged on {benchmark}"
+    assert reports["compiled"] == reports["predecoded"], (
+        f"interpreter loops diverged on {benchmark}"
+    )
     return timings
 
 
@@ -293,8 +289,7 @@ def main(argv=None) -> int:
             args.micro_benchmark, repeats=args.micro_repeats
         )
         print(f"  compiled {micro['compiled']:.3f}s, "
-              f"predecoded {micro['predecoded']:.3f}s, "
-              f"undecoded {micro['undecoded']:.3f}s", file=sys.stderr)
+              f"predecoded {micro['predecoded']:.3f}s", file=sys.stderr)
     finally:
         shutil.rmtree(cache_root, ignore_errors=True)
 
@@ -342,15 +337,8 @@ def _micro_section(benchmark: str, micro):
         "benchmark": benchmark,
         "compiled_seconds": round(micro["compiled"], 4),
         "predecoded_seconds": round(micro["predecoded"], 4),
-        "undecoded_seconds": round(micro["undecoded"], 4),
         "compiled_vs_predecoded": round(
             micro["predecoded"] / micro["compiled"], 3
-        ),
-        "compiled_vs_undecoded": round(
-            micro["undecoded"] / micro["compiled"], 3
-        ),
-        "predecoded_vs_undecoded": round(
-            micro["undecoded"] / micro["predecoded"], 3
         ),
     }
 
