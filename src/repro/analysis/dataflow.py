@@ -1,7 +1,9 @@
 """Generic forward dataflow solver over a CFG.
 
-A small worklist engine shared by the definite-assignment check in
-:mod:`repro.ir.validate` and the static checkers in
+Round-robin sweeps in reverse postorder over the *dirty* blocks only,
+shared by the interval analysis in :mod:`repro.analysis.ranges`, the
+region facts in :mod:`repro.analysis.regions`, the definite-assignment
+check in :mod:`repro.ir.validate` and the static checkers in
 :mod:`repro.staticcheck` (WAR exposure, VM-residency). The solver is
 deliberately agnostic about the state domain: callers provide
 
@@ -33,6 +35,16 @@ analysis in :mod:`repro.analysis.ranges` uses both):
 
 Blocks unreachable from the entry receive no state: they are absent from
 the returned maps, and ``transfer`` is never called for them.
+
+Every block starts dirty; a block whose out-state changes marks its
+successors dirty, and each sweep visits only the dirty blocks, in the
+same order a full sweep would. This is exact, not an approximation:
+``transfer`` and ``edge_transfer`` are pure, so a block none of whose
+predecessors changed would rebuild the in-state it saw last time and
+stop at the ``state == block_in`` check. With widening, the same holds
+provided ``widen(widen(old, new), new) == widen(old, new)`` — re-widening
+by a state already absorbed changes nothing. Results, ``passes`` and the
+convergence bound are therefore those of sweeping every block every time.
 """
 
 from __future__ import annotations
@@ -82,6 +94,7 @@ def solve_forward(
     # climb through its (finite) threshold ladder.
     max_passes = 2 * len(order) + 8 + 8 * len(widen_labels)
 
+    dirty = set(order)
     passes = 0
     changed = True
     while changed:
@@ -93,6 +106,9 @@ def solve_forward(
             )
         changed = False
         for label in order:
+            if label not in dirty:
+                continue  # no predecessor changed since the last visit
+            dirty.discard(label)
             state: S | None = entry_state if label == cfg.entry else None
             for pred in cfg.preds[label]:
                 out = block_out.get(pred)
@@ -116,5 +132,6 @@ def solve_forward(
             out_state = transfer(label, state)
             if label not in block_out or out_state != block_out[label]:
                 block_out[label] = out_state
+                dirty.update(cfg.succs[label])
                 changed = True
     return ForwardSolution(block_in=block_in, block_out=block_out, passes=passes)

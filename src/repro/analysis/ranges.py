@@ -126,9 +126,6 @@ class Interval:
     def contains(self, value: int) -> bool:
         return self.lo <= value <= self.hi
 
-    def covers_type(self, t: IntType) -> bool:
-        return self.lo <= t.min_value and self.hi >= t.max_value
-
     # -- wrapping ----------------------------------------------------------
 
     def wrapped(self, t: IntType) -> "Interval":
@@ -449,16 +446,20 @@ class FunctionRanges:
         for var in module.globals.values():
             self._vars[var.name] = var
 
-        self._key_types: Dict[str, IntType] = {}
+        key_types: Dict[str, IntType] = {}
         for name, var in self._vars.items():
-            self._key_types[name] = var.type
+            key_types[name] = var.type
         for reg in func.arg_registers():
             if reg is not None:
-                self._key_types["%" + reg.name] = reg.type
+                key_types["%" + reg.name] = reg.type
         for block in func.blocks.values():
             for inst in block:
                 for reg in inst.defs():
-                    self._key_types["%" + reg.name] = reg.type
+                    key_types["%" + reg.name] = reg.type
+        #: key -> its type's (min, max), the range entries are clamped to.
+        self._key_bounds: Dict[str, Tuple[int, int]] = {
+            key: (t.min_value, t.max_value) for key, t in key_types.items()
+        }
 
         self._thresholds = self._collect_thresholds()
         self._block_conds = self._resolve_branch_conds()
@@ -494,16 +495,21 @@ class FunctionRanges:
 
     def _norm(self, key: str, iv: Interval) -> Optional[Interval]:
         """Clamp to the key's type range; None when the entry carries no
-        information beyond the type itself (⊤)."""
-        t = self._key_types.get(key)
-        if t is None:
+        information beyond the type itself (⊤). Returns ``iv`` itself
+        when the clamp leaves it unchanged."""
+        bounds = self._key_bounds.get(key)
+        if bounds is None:
             return iv
-        clamped = iv.meet(Interval.of_type(t))
-        if clamped is None:  # stale entry outside the type: treat as ⊤
+        tmin, tmax = bounds
+        lo = iv.lo if iv.lo > tmin else tmin
+        hi = iv.hi if iv.hi < tmax else tmax
+        if lo > hi:  # stale entry outside the type: treat as ⊤
             return None
-        if clamped.covers_type(t):
+        if lo == tmin and hi == tmax:
             return None
-        return clamped
+        if lo == iv.lo and hi == iv.hi:
+            return iv
+        return Interval(lo, hi)
 
     def _set(self, state: State, key: str, iv: Optional[Interval]) -> None:
         if iv is not None:
@@ -518,6 +524,11 @@ class FunctionRanges:
         for key, iva in a.items():
             ivb = b.get(key)
             if ivb is None:
+                continue
+            if ivb is iva or ivb == iva:
+                # Stored entries are fixed points of _norm and never ⊤,
+                # so joining one with itself yields it unchanged.
+                out[key] = iva
                 continue
             joined = self._norm(key, iva.join(ivb))
             if joined is not None:
@@ -634,9 +645,8 @@ class FunctionRanges:
         strict/non-strict comparison slack) plus all involved type
         bounds. Finite, so iterated widening terminates."""
         points: Set[int] = {0, 1, -1}
-        for t in self._key_types.values():
-            points.add(t.min_value)
-            points.add(t.max_value)
+        for bounds in self._key_bounds.values():
+            points.update(bounds)
         for block in self.func.blocks.values():
             for inst in block:
                 for operand in getattr(inst, "__dict__", {}).values():

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import telemetry
@@ -139,6 +140,15 @@ class RCG:
         self.barrier_positions = [
             i for i, atom in enumerate(self.atoms) if atom.is_barrier
         ]
+        vm_cost = self.model.access_cost_in_space(MemorySpace.VM)
+        #: per atom: its energy with every allocatable access in VM.
+        self._vm_floor = [
+            atom.base_energy + (
+                sum(atom.counts.reads.values())
+                + sum(atom.counts.writes.values())
+            ) * vm_cost
+            for atom in self.atoms
+        ]
         self._edges: Dict[Tuple[object, object], _EdgeInfo] = {}
         self._succs: Dict[object, List[object]] = {}
         # Build/solve statistics as plain ints — this path is hot, so no
@@ -209,17 +219,12 @@ class RCG:
             )
         return plan_segment(ctx, atoms, live_at_end, has_start_ckpt, has_end_ckpt)
 
-    def _segment_lower_bound(self, start_pos: int, end_pos: int) -> float:
-        """Cheapest conceivable execution energy (everything in VM,
-        capacity ignored); monotone in ``end_pos``, used to prune."""
-        vm_cost = self.model.access_cost_in_space(MemorySpace.VM)
-        total = 0.0
-        for atom in self.atoms[start_pos:end_pos]:
-            accesses = sum(atom.counts.reads.values()) + sum(
-                atom.counts.writes.values()
-            )
-            total += atom.base_energy + accesses * vm_cost
-        return total
+    def _segment_lower_bounds(self, start_pos: int, limit: int) -> List[float]:
+        """``[k]`` is the cheapest conceivable execution energy of the
+        segment from ``start_pos`` to ``start_pos + k`` (everything in VM,
+        capacity ignored), for every end up to ``limit``: one running
+        total folded left to right, monotone in the end, used to prune."""
+        return list(accumulate(self._vm_floor[start_pos:limit], initial=0.0))
 
     def _left_exact(self) -> Optional[Dict[str, MemorySpace]]:
         """Exact allocation constraint for segments flowing from the left
@@ -261,12 +266,13 @@ class RCG:
         prefix_limit = first_barrier if first_barrier is not None else self.m
         fresh_left = self.left.kind == "fresh"
         left_exact = self._left_exact()
+        prefix_lower = self._segment_lower_bounds(0, prefix_limit)
         for j in positions:
             if left_mandatory:
                 break
             if j < 1 or j > prefix_limit:
                 continue
-            if self._segment_lower_bound(0, j) > self.left.energy:
+            if prefix_lower[j] > self.left.energy:
                 break
             plan = self._plan(
                 0, j,
@@ -302,12 +308,13 @@ class RCG:
                 continue
             barrier = self._next_barrier(i)
             limit = barrier if barrier is not None else self.m
+            segment_lower = self._segment_lower_bounds(i, limit)
             for j in positions:
                 if j <= i or j > limit:
                     continue
                 lower = (
                     model.restore_energy(0)
-                    + self._segment_lower_bound(i, j)
+                    + segment_lower[j - i]
                     + model.save_energy(0)
                 )
                 if lower > self.eb:

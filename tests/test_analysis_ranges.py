@@ -23,6 +23,7 @@ from repro.analysis.ranges import (
 from repro.frontend import compile_source
 from repro.ir.instructions import Opcode, UnaryOpcode
 from repro.ir.types import I8, I32, U8, U16, U32
+from repro.testkit.corpus import available_programs, load_program
 
 
 def ranges_for(src: str, func: str = "main") -> FunctionRanges:
@@ -45,8 +46,6 @@ class TestIntervalLattice:
         assert a.meet(b) == Interval(5, 10)
         assert Interval(0, 3).meet(Interval(5, 9)) is None
         assert a.contains(10) and not a.contains(11)
-        assert Interval.of_type(I32).covers_type(I32)
-        assert not Interval(0, 100).covers_type(I32)
 
     def test_wrapped_contiguous_segment(self):
         # [256, 260] wraps to [0, 4] in u8: both ends shift by one modulus.
@@ -426,3 +425,47 @@ class TestModuleBoundHelpers:
         state = fr.solution.block_out[exit_label]
         out_iv = fr._var_interval(state, fr.module.globals["out"])
         assert out_iv == Interval.point(expected)
+
+
+class TestStoredStateInvariant:
+    """``FunctionRanges._join`` keeps an entry as it is when both sides
+    hold equal intervals, skipping ``_norm``. That is exact only while
+    every stored interval is a fixed point of ``_norm`` and never ⊤; an
+    assignment that bypasses ``_set`` would break it and fail here."""
+
+    @staticmethod
+    def assert_normalized(fr: FunctionRanges, state, where: str) -> None:
+        for key, iv in state.items():
+            assert key in fr._key_bounds, f"{where}: untyped key {key}"
+            assert fr._norm(key, iv) == iv, (
+                f"{where}: {key} = {iv} is not normalized (⊤ or unclamped)"
+            )
+
+    @pytest.mark.parametrize("name", available_programs())
+    def test_stored_intervals_are_norm_fixed_points(self, name, monkeypatch):
+        join = FunctionRanges._join
+
+        def checked_join(fr, a, b):
+            where = f"{name}/{fr.func.name}: join input"
+            self.assert_normalized(fr, a, where)
+            self.assert_normalized(fr, b, where)
+            return join(fr, a, b)
+
+        monkeypatch.setattr(FunctionRanges, "_join", checked_join)
+        mr = ModuleRanges(load_program(name).module)
+        for fname, fr in mr.functions.items():
+            solution = fr.solution
+            for kind, states in (
+                ("in", solution.block_in), ("out", solution.block_out)
+            ):
+                for label, state in states.items():
+                    self.assert_normalized(
+                        fr, state, f"{name}/{fname} block_{kind}[{label}]"
+                    )
+            for label in fr.reachable_blocks():
+                n = len(fr.func.blocks[label].instructions)
+                for index in range(n):
+                    self.assert_normalized(
+                        fr, fr.state_at(label, index),
+                        f"{name}/{fname} .{label}[{index}]",
+                    )
