@@ -1327,7 +1327,15 @@ def apply_inferred_bounds(
     separately by the BOUND001 rule, not silently overwritten), so
     placement on fully annotated modules is unchanged. Returns the
     entries that were added.
+
+    Without a supplied ``ranges``, the analysis runs only when some loop
+    header lacks an entry: trip bounds exist only for the headers of a
+    function's :class:`LoopNest`, and for none on an irreducible CFG.
     """
+    if ranges is None and not any(
+        _unbounded_loop(func) for func in module.functions.values()
+    ):
+        return {}
     applied: Dict[Tuple[str, str], int] = {}
     for (name, header), trips in infer_module_bounds(module, ranges).items():
         func = module.functions[name]
@@ -1335,6 +1343,19 @@ def apply_inferred_bounds(
             func.loop_maxiter[header] = trips
             applied[(name, header)] = trips
     return applied
+
+
+def _unbounded_loop(func: Function) -> bool:
+    """Does ``func`` have a natural loop without a ``loop_maxiter``
+    entry? False on irreducible control flow, where
+    :class:`FunctionRanges` derives no trip bounds."""
+    try:
+        nest = LoopNest(CFG(func))
+    except AnalysisError:
+        return False
+    return any(
+        loop.header not in func.loop_maxiter for loop in nest.bottom_up()
+    )
 
 
 def _sym_survives_wrap(sym: Optional[Sym], dest: IntType) -> bool:

@@ -77,37 +77,107 @@ class SegmentContext:
     #: (§III-B2) — so the access gain amortizes by that factor. 1.0 outside
     #: loops. Affects allocation choice only, never feasibility energies.
     gain_amortization: float = 1.0
+    #: ``model``'s per-access costs (``access_cost_in_space``) and Eq. 1
+    #: gains, computed once per context: planning reads them per atom and
+    #: per candidate variable.
+    vm_access_cost: float = field(init=False, repr=False, compare=False)
+    nvm_access_cost: float = field(init=False, repr=False, compare=False)
+    read_gain: float = field(init=False, repr=False, compare=False)
+    write_gain: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.vm_access_cost = self.model.access_cost_in_space(MemorySpace.VM)
+        self.nvm_access_cost = self.model.access_cost_in_space(MemorySpace.NVM)
+        self.read_gain = self.model.read_gain
+        self.write_gain = self.model.write_gain
 
 
-def aggregate_counts(atoms: Sequence[Atom]) -> AccessCounts:
-    """Sequential aggregation of the atoms' allocatable access counts.
+class SegmentAggregate:
+    """The atoms of one segment, folded left to right.
 
-    Plain inner atoms (collapsed loops/callees) contribute their restore
-    requirements as first-access *reads*, so that a variable read inside a
-    loop is not mistaken for write-first by a later store in the segment.
+    Holds everything segment planning needs from the atoms, so that
+    extending a segment by one atom costs that atom alone — the RCG keeps
+    one aggregate per start position and grows it as the end moves right:
+
+    - ``counts``: the sequential merge of the atoms' allocatable access
+      counts. Plain inner atoms (collapsed loops/callees) contribute their
+      restore requirements as first-access *reads* before their own
+      counts, so that a variable read inside a loop is not mistaken for
+      write-first by a later store in the segment.
+    - ``forced``: the union of the placements imposed by plain inner
+      atoms; None once two of them conflict (the segment is infeasible and
+      needs a checkpoint between the conflicting atoms) — and None stays.
+    - ``private_reserve``: the largest inner atom's transient VM reserve.
+    - ``restore_names``/``dirty_names``: the unions of the inner atoms'
+      restore requirements and dirty forced-VM variables.
     """
-    total = AccessCounts()
-    for atom in atoms:
-        if atom.shared is not None:
-            for name in atom.shared.restore_names:
-                total.first_access.setdefault(name, "r")
-        total.merge_sequential(atom.counts)
-    return total
 
+    __slots__ = (
+        "atoms", "counts", "forced", "private_reserve", "restore_names",
+        "dirty_names", "_energies", "_energy_alloc",
+    )
 
-def merge_forced(atoms: Sequence[Atom]) -> Optional[Dict[str, MemorySpace]]:
-    """Union of the placements imposed by plain inner atoms; None on
-    conflict (the segment is infeasible and needs a checkpoint between the
-    conflicting atoms)."""
-    forced: Dict[str, MemorySpace] = {}
-    for atom in atoms:
-        if atom.shared is None:
-            continue
-        for name, space in atom.shared.forced.items():
-            if forced.get(name, space) is not space:
-                return None
-            forced[name] = space
-    return forced
+    def __init__(self, atoms: Sequence[Atom] = ()):
+        self.atoms: List[Atom] = []
+        self.counts = AccessCounts()
+        self.forced: Optional[Dict[str, MemorySpace]] = {}
+        self.private_reserve = 0
+        self.restore_names: Set[str] = set()
+        self.dirty_names: Set[str] = set()
+        #: energy of each atom under ``_energy_alloc``, for a prefix of
+        #: ``atoms`` (see :meth:`exec_energy`).
+        self._energies: List[float] = []
+        self._energy_alloc: Optional[Dict[str, MemorySpace]] = None
+        for atom in atoms:
+            self.extend(atom)
+
+    def extend(self, atom: Atom) -> None:
+        """Append ``atom`` to the segment."""
+        self.atoms.append(atom)
+        shared = atom.shared
+        if shared is not None:
+            first_access = self.counts.first_access
+            for name in shared.restore_names:
+                first_access.setdefault(name, "r")
+            self.restore_names.update(shared.restore_names)
+            self.dirty_names.update(shared.dirty_names)
+            if shared.private_reserve > self.private_reserve:
+                self.private_reserve = shared.private_reserve
+            forced = self.forced
+            if forced is not None:
+                for name, space in shared.forced.items():
+                    if forced.get(name, space) is not space:
+                        self.forced = None
+                        break
+                    forced[name] = space
+        self.counts.merge_sequential(atom.counts)
+
+    def exec_energy(
+        self, ctx: SegmentContext, alloc: Dict[str, MemorySpace]
+    ) -> float:
+        """``sum(atom.energy_under(ctx.model, alloc) for atom in atoms)``,
+        for one ``ctx`` across the aggregate's life.
+
+        The per-atom energies of the previous call are reused when
+        ``alloc`` agrees with that call's allocation on every key it had:
+        those keys cover every variable the earlier atoms count, so their
+        energies are unchanged. The total is the same ``sum`` over the same
+        per-atom floats in the same order, hence bit-identical to a fold
+        from scratch (on every Python version: since 3.12 ``sum``
+        compensates float rounding, so a hand-kept running total would
+        not be).
+        """
+        energies = self._energies
+        previous = self._energy_alloc
+        if previous is not None and any(
+            alloc.get(name) is not space for name, space in previous.items()
+        ):
+            energies.clear()
+        vm_cost, nvm_cost = ctx.vm_access_cost, ctx.nvm_access_cost
+        for atom in self.atoms[len(energies):]:
+            energies.append(atom.energy_at(vm_cost, nvm_cost, alloc))
+        self._energy_alloc = alloc
+        return sum(energies)
 
 
 def plan_segment(
@@ -118,6 +188,22 @@ def plan_segment(
     has_end_ckpt: bool,
     allow_packing: bool = True,
 ) -> Optional[SegmentPlan]:
+    """:func:`plan_aggregate` over the segment made of ``atoms``."""
+    return plan_aggregate(
+        ctx, SegmentAggregate(atoms), live_at_end,
+        has_start_ckpt, has_end_ckpt, allow_packing,
+    )
+
+
+def plan_aggregate(
+    ctx: SegmentContext,
+    segment: SegmentAggregate,
+    live_at_end: Set[str],
+    has_start_ckpt: bool,
+    has_end_ckpt: bool,
+    allow_packing: bool = True,
+    inherited: Optional[Dict[str, MemorySpace]] = None,
+) -> Optional[SegmentPlan]:
     """Choose the energy-optimal allocation for a segment.
 
     ``has_start_ckpt``/``has_end_ckpt`` control whether restore/save sets
@@ -125,36 +211,31 @@ def plan_segment(
     the allocation to the inherited/forced placements — used when the
     segment flows into or out of already-analyzed code whose allocation is
     final (§III-A3: decisions along a path are never reconsidered).
+    ``inherited`` replaces ``ctx.inherited`` when given.
 
     Returns None when forced placements conflict, when inherited VM
     residents no longer fit together with forced ones, or when a forced
     placement contradicts the inherited one.
     """
-    model = ctx.model
-    forced = merge_forced(atoms)
+    if inherited is None:
+        inherited = ctx.inherited
+    forced = segment.forced
     if forced is None:
         return None
-    for name, space in ctx.inherited.items():
+    for name, space in inherited.items():
         if forced.get(name, space) is not space:
             return None
 
-    counts = aggregate_counts(atoms)
-    private_reserve = max(
-        (
-            atom.shared.private_reserve
-            for atom in atoms
-            if atom.shared is not None
-        ),
-        default=0,
-    )
+    counts = segment.counts
+    variables = counts.variables()
+    private_reserve = segment.private_reserve
 
     # Resident sets that are not up for packing.
-    resident: Dict[str, MemorySpace] = {}
-    resident.update(forced)
+    resident: Dict[str, MemorySpace] = dict(forced)
     if not has_start_ckpt or not allow_packing:
         # Either no checkpoint separates us from the previous segment (its
         # VM residents remain resident), or the allocation is frozen.
-        for name, space in ctx.inherited.items():
+        for name, space in inherited.items():
             resident.setdefault(name, space)
 
     vm_bytes = private_reserve
@@ -167,7 +248,7 @@ def plan_segment(
     # Candidate variables for Eq. 1 packing.
     candidates: List[Tuple[float, float, str]] = []  # (ratio, gain, name)
     if allow_packing:
-        for name in counts.variables():
+        for name in variables:
             if name in resident:
                 continue
             var = ctx.variables.get(name)
@@ -185,7 +266,7 @@ def plan_segment(
         if vm_bytes + size <= ctx.vm_capacity:
             alloc[name] = MemorySpace.VM
             vm_bytes += size
-    for name in counts.variables():
+    for name in variables:
         alloc.setdefault(name, MemorySpace.NVM)
 
     vm_names = tuple(
@@ -199,15 +280,13 @@ def plan_segment(
         for name in vm_names:
             if not ctx.trim_with_liveness or counts.first_access.get(name) == "r":
                 restore.add(name)
-        for atom in atoms:
-            if atom.shared is not None:
-                # An inner structure's restore requirement is void when an
-                # earlier part of this segment fully overwrites the variable.
-                restore.update(
-                    n
-                    for n in atom.shared.restore_names
-                    if counts.first_access.get(n) != "w"
-                )
+        # An inner structure's restore requirement is void when an
+        # earlier part of this segment fully overwrites the variable.
+        restore.update(
+            n
+            for n in segment.restore_names
+            if counts.first_access.get(n) != "w"
+        )
 
     # Save set at the ending checkpoint: dirty VM variables still live.
     save: Set[str] = set()
@@ -220,20 +299,16 @@ def plan_segment(
                 save.add(name)
                 continue
             dirty = counts.writes.get(name, 0) > 0
-            inherited_resident = not has_start_ckpt and name in ctx.inherited
+            inherited_resident = not has_start_ckpt and name in inherited
             if inherited_resident:
                 # We do not know whether earlier segments dirtied it;
                 # conservatively save if live.
                 dirty = True
             if dirty and name in live_at_end:
                 save.add(name)
-        for atom in atoms:
-            if atom.shared is not None:
-                for name in atom.shared.dirty_names:
-                    if name in live_at_end:
-                        save.add(name)
+        save.update(n for n in segment.dirty_names if n in live_at_end)
 
-    exec_energy = sum(atom.energy_under(model, alloc) for atom in atoms)
+    exec_energy = segment.exec_energy(ctx, alloc)
     restore_bytes = sum(ctx.variables[n].size_bytes for n in restore)
     save_bytes = sum(ctx.variables[n].size_bytes for n in save)
 
@@ -264,7 +339,7 @@ def _gain(
     n_reads = counts.reads.get(name, 0)
     n_writes = counts.writes.get(name, 0)
     gain = (
-        model.read_gain * n_reads + model.write_gain * n_writes
+        ctx.read_gain * n_reads + ctx.write_gain * n_writes
     ) * ctx.gain_amortization
 
     restore_needed = has_start_ckpt and (

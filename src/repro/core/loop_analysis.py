@@ -421,8 +421,9 @@ def _checkpoint_free_iteration_energy(
             if not preds:
                 continue
             incoming = max(best[p] for p in preds)
-        best[uid] = incoming + atom.energy_under(
-            ctx.model, outcome.atom_alloc.get(uid, {})
+        best[uid] = incoming + atom.energy_at(
+            ctx.vm_access_cost, ctx.nvm_access_cost,
+            outcome.atom_alloc.get(uid, {}),
         )
     values = [best[uid] for uid in latch_uids if uid in best]
     return max(values) if values else None

@@ -550,7 +550,11 @@ class RegionAnalysis:
         atom = self.region.atom(uid)
         if atom.is_barrier:
             return atom.ckpt.internal_energy  # type: ignore[union-attr]
-        return atom.energy_under(self.model, self.atom_alloc.get(uid, {}))
+        return atom.energy_at(
+            self.ctx.vm_access_cost,
+            self.ctx.nvm_access_cost,
+            self.atom_alloc.get(uid, {}),
+        )
 
     def _save_cost(self, ckpt: PlacedCheckpoint) -> float:
         payload = sum(

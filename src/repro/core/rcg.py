@@ -30,7 +30,12 @@ from itertools import accumulate
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import telemetry
-from repro.core.allocation import SegmentContext, SegmentPlan, plan_segment
+from repro.core.allocation import (
+    SegmentAggregate,
+    SegmentContext,
+    SegmentPlan,
+    plan_aggregate,
+)
 from repro.core.region import Atom
 from repro.ir.values import MemorySpace
 
@@ -140,7 +145,7 @@ class RCG:
         self.barrier_positions = [
             i for i, atom in enumerate(self.atoms) if atom.is_barrier
         ]
-        vm_cost = self.model.access_cost_in_space(MemorySpace.VM)
+        vm_cost = ctx.vm_access_cost
         #: per atom: its energy with every allocatable access in VM.
         self._vm_floor = [
             atom.base_energy + (
@@ -150,6 +155,8 @@ class RCG:
             for atom in self.atoms
         ]
         self._edges: Dict[Tuple[object, object], _EdgeInfo] = {}
+        #: start position -> the aggregate of its last planned segment.
+        self._aggregates: Dict[int, SegmentAggregate] = {}
         self._succs: Dict[object, List[object]] = {}
         # Build/solve statistics as plain ints — this path is hot, so no
         # telemetry calls happen here; path_analysis flushes these into
@@ -199,25 +206,27 @@ class RCG:
         has_end_ckpt: bool,
         exact: Optional[Dict[str, MemorySpace]] = None,
     ) -> Optional[SegmentPlan]:
+        """Plan the segment ``atoms[start_pos:end_pos]``.
+
+        Every start position keeps one :class:`SegmentAggregate`, extended
+        atom by atom as the requested end grows; build asks for ends that
+        only grow per start, and an aggregate is rebuilt if one shrinks."""
         self.stat_plans += 1
-        atoms = self.atoms[start_pos:end_pos]
+        segment = self._aggregates.get(start_pos)
+        if segment is None or len(segment.atoms) > end_pos - start_pos:
+            segment = self._aggregates[start_pos] = SegmentAggregate()
+        for atom in self.atoms[start_pos + len(segment.atoms):end_pos]:
+            segment.extend(atom)
         live_at_end = self.live_at_position(end_pos)
-        ctx = self.ctx
         if exact is not None:
-            ctx = SegmentContext(
-                model=ctx.model,
-                vm_capacity=ctx.vm_capacity,
-                variables=ctx.variables,
-                inherited=dict(exact),
-                gain_amortization=ctx.gain_amortization,
-                trim_with_liveness=ctx.trim_with_liveness,
-            )
             # Fully constrained allocation: no packing of new VM variables.
-            return plan_segment(
-                ctx, atoms, live_at_end, has_start_ckpt, has_end_ckpt,
-                allow_packing=False,
+            return plan_aggregate(
+                self.ctx, segment, live_at_end, has_start_ckpt, has_end_ckpt,
+                allow_packing=False, inherited=exact,
             )
-        return plan_segment(ctx, atoms, live_at_end, has_start_ckpt, has_end_ckpt)
+        return plan_aggregate(
+            self.ctx, segment, live_at_end, has_start_ckpt, has_end_ckpt
+        )
 
     def _segment_lower_bounds(self, start_pos: int, limit: int) -> List[float]:
         """``[k]`` is the cheapest conceivable execution energy of the
@@ -278,7 +287,7 @@ class RCG:
                 0, j,
                 has_start_ckpt=fresh_left and left_exact is None,
                 has_end_ckpt=True,
-                exact=left_exact if not fresh_left else left_exact,
+                exact=left_exact,
             )
             if plan is None:
                 continue

@@ -107,11 +107,20 @@ class Atom:
     ) -> float:
         """Energy with each counted variable placed per ``alloc`` (absent
         entries default to NVM)."""
-        vm_cost = model.access_cost_in_space(MemorySpace.VM)
-        nvm_cost = model.access_cost_in_space(MemorySpace.NVM)
+        return self.energy_at(
+            model.access_cost_in_space(MemorySpace.VM),
+            model.access_cost_in_space(MemorySpace.NVM),
+            alloc,
+        )
+
+    def energy_at(
+        self, vm_cost: float, nvm_cost: float, alloc: Dict[str, MemorySpace]
+    ) -> float:
+        """:meth:`energy_under` given the model's per-access costs."""
         energy = self.base_energy
-        for name in self.counts.variables():
-            count = self.counts.total(name)
+        counts = self.counts
+        for name in counts.variables():
+            count = counts.total(name)
             space = alloc.get(name, MemorySpace.NVM)
             energy += count * (vm_cost if space is MemorySpace.VM else nvm_cost)
         return energy

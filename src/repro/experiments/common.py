@@ -147,6 +147,7 @@ class EvaluationContext:
         #: (variant, benchmark, tbpf) -> ablation cell (see ablations.py).
         self._ablations: Dict[Tuple[str, str, int], object] = {}
         self._fingerprints: Dict[str, str] = {}
+        self._input_fingerprints: Dict[str, str] = {}
 
     # ------------------------------------------------------------- keys
 
@@ -162,10 +163,14 @@ class EvaluationContext:
         return self._fingerprints[name]
 
     def _inputs_fp(self, name: str) -> str:
-        inputs = self.benchmark(name).default_inputs()
-        return ArtifactCache.text_fingerprint(
-            json.dumps(sorted(inputs.items()), separators=(",", ":"))
-        )
+        """Content hash of a benchmark's evaluation inputs, memoised:
+        ``default_inputs()`` is a pure function of the benchmark."""
+        if name not in self._input_fingerprints:
+            inputs = self.benchmark(name).default_inputs()
+            self._input_fingerprints[name] = ArtifactCache.text_fingerprint(
+                json.dumps(sorted(inputs.items()), separators=(",", ":"))
+            )
+        return self._input_fingerprints[name]
 
     def _platform_fp(self) -> str:
         # Frozen-dataclass repr: every model constant and memory size.

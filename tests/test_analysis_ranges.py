@@ -427,6 +427,103 @@ class TestModuleBoundHelpers:
         assert out_iv == Interval.point(expected)
 
 
+#: A two-entry cycle (.a <-> .b): no natural loop, so LoopNest refuses it.
+IRREDUCIBLE_IR = """module irr (entry @main)
+global @out:u32
+
+func @main() -> void {
+.entry:
+    %t1:u32 = load.auto @out
+    %t2:u8 = lt %t1:u32, 3:i32
+    branch %t2:u8 ? .a : .b
+.a:
+    %t3:u32 = load.auto @out
+    %t4:u32 = add %t3:u32, 1:i32
+    store.auto @out = %t4:u32
+    %t5:u8 = lt %t4:u32, 10:i32
+    branch %t5:u8 ? .b : .done
+.b:
+    %t6:u32 = load.auto @out
+    %t7:u32 = add %t6:u32, 2:i32
+    store.auto @out = %t7:u32
+    jump .a
+.done:
+    ret
+}
+"""
+
+
+class TestInferOnlyWhereMissing:
+    """``apply_inferred_bounds`` builds a ``ModuleRanges`` only when some
+    loop header lacks a ``loop_maxiter`` entry."""
+
+    @pytest.fixture
+    def constructions(self, monkeypatch):
+        import repro.analysis.ranges as ranges_mod
+
+        built = []
+
+        class Counting(ranges_mod.ModuleRanges):
+            def __init__(self, module):
+                built.append(module)
+                super().__init__(module)
+
+        monkeypatch.setattr(ranges_mod, "ModuleRanges", Counting)
+        return built
+
+    @pytest.mark.parametrize("program", available_programs())
+    def test_fully_annotated_module_skips_analysis(self, program,
+                                                   constructions):
+        module = load_program(program).module
+        before = {
+            name: dict(func.loop_maxiter)
+            for name, func in module.functions.items()
+        }
+        assert any(before.values())  # the program has annotated loops
+        assert apply_inferred_bounds(module) == {}
+        assert constructions == []
+        assert before == {
+            name: func.loop_maxiter for name, func in module.functions.items()
+        }
+
+    def test_unannotated_loop_gets_the_inferred_bound(self, constructions):
+        src = TestModuleBoundHelpers.SRC.replace(
+            "void main() {",
+            "void main() {\n for (i32 j = 0; j < 4; j++) { out = out ^ 1; }",
+        )
+        module = compile_source(src, "mixed")
+        func = module.functions["main"]
+        assert len(func.loop_maxiter) == 1  # the for loop's bound only
+        expected = {
+            key: trips
+            for key, trips in infer_module_bounds(
+                compile_source(src, "mixed")
+            ).items()
+            if key[1] not in func.loop_maxiter
+        }
+        constructions.clear()
+        assert list(expected.values()) == [9]
+        assert apply_inferred_bounds(module) == expected
+        assert len(constructions) == 1
+
+    def test_irreducible_function(self, constructions):
+        from repro.ir.textparser import parse_ir
+
+        module = parse_ir(IRREDUCIBLE_IR)
+        assert infer_module_bounds(module) == {}
+        constructions.clear()
+        assert apply_inferred_bounds(module) == {}
+        assert constructions == []
+        assert module.functions["main"].loop_maxiter == {}
+
+    def test_supplied_ranges_are_used_as_given(self, constructions):
+        module = load_program("crc").module
+        ranges = ModuleRanges(module)
+        constructions.clear()
+        assert apply_inferred_bounds(module, ranges) == {}
+        assert constructions == []
+
+
 class TestStoredStateInvariant:
     """``FunctionRanges._join`` keeps an entry as it is when both sides
     hold equal intervals, skipping ``_norm``. That is exact only while

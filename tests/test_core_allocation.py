@@ -4,9 +4,8 @@ import pytest
 
 from repro.analysis.accesses import AccessCounts
 from repro.core.allocation import (
+    SegmentAggregate,
     SegmentContext,
-    aggregate_counts,
-    merge_forced,
     plan_segment,
 )
 from repro.core.region import Atom, AtomKind
@@ -153,13 +152,13 @@ class TestForcedAndInherited:
     def test_forced_merge(self):
         a = make_atom(uid=1, shared=SharedAlloc(forced={"x": MemorySpace.VM}))
         b = make_atom(uid=2, shared=SharedAlloc(forced={"y": MemorySpace.NVM}))
-        merged = merge_forced([a, b])
+        merged = SegmentAggregate([a, b]).forced
         assert merged == {"x": MemorySpace.VM, "y": MemorySpace.NVM}
 
     def test_forced_conflict_returns_none(self):
         a = make_atom(uid=1, shared=SharedAlloc(forced={"x": MemorySpace.VM}))
         b = make_atom(uid=2, shared=SharedAlloc(forced={"x": MemorySpace.NVM}))
-        assert merge_forced([a, b]) is None
+        assert SegmentAggregate([a, b]).forced is None
         ctx = make_ctx()
         assert plan_segment(ctx, [a, b], set(), True, True) is None
 
@@ -234,7 +233,7 @@ class TestAggregateCounts:
     def test_sequential_order_preserves_first_access(self):
         reader = make_atom(uid=1, reads={"x": 1})
         writer = make_atom(uid=2, writes={"x": 1})
-        counts = aggregate_counts([reader, writer])
+        counts = SegmentAggregate([reader, writer]).counts
         assert counts.first_access["x"] == "r"
-        counts2 = aggregate_counts([writer, reader])
+        counts2 = SegmentAggregate([writer, reader]).counts
         assert counts2.first_access["x"] == "w"

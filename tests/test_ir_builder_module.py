@@ -185,3 +185,81 @@ class TestModule:
         clone.functions["main"].blocks["entry"].instructions.pop()
         original = module.functions["main"].blocks["entry"]
         assert original.is_terminated
+
+
+def _reachable(root):
+    """Every object reachable from ``root`` through containers and
+    instance attributes, by id (scalars and enum members left out)."""
+    import enum
+
+    seen = {}
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(
+            obj, (str, int, float, type(None), enum.Enum)
+        ):
+            continue
+        seen[id(obj)] = obj
+        if isinstance(obj, dict):
+            stack.extend(obj.keys())
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack.extend(obj)
+        elif hasattr(obj, "__dict__"):
+            stack.extend(vars(obj).values())
+    return seen
+
+
+def _is_immutable(obj):
+    import dataclasses
+
+    if isinstance(obj, (tuple, frozenset)):
+        return True
+    return dataclasses.is_dataclass(obj) and obj.__dataclass_params__.frozen
+
+
+def _corpus_modules():
+    from repro.testkit.corpus import available_programs, load_program
+
+    return [pytest.param(name, id=name) for name in available_programs()]
+
+
+class TestClone:
+    """``Module.clone`` is a deep copy: equal text, the module's own
+    aliasing kept, no mutable object shared with the source."""
+
+    @pytest.mark.parametrize("program", _corpus_modules())
+    def test_clone_over_corpus(self, program):
+        from repro.ir.instructions import Call, VarRef
+        from repro.ir.printer import print_module
+        from repro.testkit.corpus import load_program
+
+        module = load_program(program).module
+        clone = module.clone()
+        assert print_module(clone) == print_module(module)
+
+        # Every instruction's variable is the clone's own entry.
+        for func in clone.functions.values():
+            own = dict(clone.globals)
+            own.update({v.name: v for v in func.variables.values()})
+            for block in func.blocks.values():
+                for inst in block:
+                    used = inst.var_reads() + inst.var_writes()
+                    if isinstance(inst, Call):
+                        used += [a.variable for a in inst.args
+                                 if isinstance(a, VarRef)]
+                    for var in used:
+                        assert var is own[var.name], (func.name, str(inst))
+
+        source = _reachable(module)
+        shared = [
+            obj for key, obj in _reachable(clone).items()
+            if key in source and not _is_immutable(obj)
+        ]
+        assert shared == []
+        for name, func in module.functions.items():
+            twin = clone.functions[name]
+            assert twin.loop_maxiter == func.loop_maxiter
+            assert twin.loop_maxiter is not func.loop_maxiter
+            assert twin.atomic_ranges == func.atomic_ranges
